@@ -83,8 +83,8 @@ class BenchScenario:
     steps_per_gpu: int = 4
     #: which Table 1 workload drives the compute side.  The short-step
     #: object_detection workload makes the fabric the dominant event source
-    #: (the loaders' 10 ms poll ticks scale with virtual time, so long
-    #:  speech steps drown the collective in loader events)
+    #: (loader wake-ups on the 10 ms poll grid scale with virtual time, so
+    #: long speech steps drown the collective in loader events)
     workload: str = "speech_3s"
     hardware: str = "config_a"
     dataset_per_node: int = 96
@@ -93,9 +93,10 @@ class BenchScenario:
     #: backprop slice, so short-step workloads need a low-latency fabric
     allreduce_latency: Optional[float] = None
     reshard: str = "stride"
-    #: loader knobs (None = model defaults).  The 1000-rank scenario trims
-    #: the idle-poll event volume -- 10 ms ticks across 1000 ranks of
-    #: polling workers dominate the event count once collectives collapse
+    #: loader knobs (None = model defaults).  The 1000-rank scenario
+    #: coarsens the idle workers' wake grid -- 10 ms wake-ups across 1000
+    #: ranks of loader workers dominate the event count once collectives
+    #: collapse
     poll_interval: Optional[float] = None
     workers_per_gpu: Optional[int] = None
     #: 1.0 = steady-state cache-warm regime (the compute-bound DDP common

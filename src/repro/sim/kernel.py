@@ -10,6 +10,10 @@ Only the features needed by the loader models are implemented:
 
 * :class:`Environment` -- event heap, virtual ``now``, ``run(until=...)``.
 * :class:`Event` / :class:`Timeout` -- basic triggerable events.
+  ``Environment.timeout_at(when)`` and ``Event.succeed_at(when)`` fire at an
+  absolute instant rather than ``now + delay``, so a waker can land a
+  sleeper on a float computed ahead of time (the loader model's parked
+  workers wake on their exact poll grid this way).
 * :class:`Process` -- generator-driven coroutine with ``interrupt`` support
   (used to model the paper's mid-transformation preemption of slow samples).
 * :class:`AnyOf` / :class:`AllOf` -- composite conditions.
@@ -128,7 +132,23 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, NORMAL, 0.0)
+        self.env._schedule(self, NORMAL, self.env._now)
+        return self
+
+    def succeed_at(self, when: float, value: Any = None) -> "Event":
+        """Succeed at absolute virtual time ``when`` (not before ``now``).
+
+        The event is scheduled exactly at ``when`` -- no ``now + delay``
+        rounding -- so a waker can land a sleeper on a precomputed float.
+        """
+        if self._ok is not None:
+            raise SimulationError(f"{self!r} has already been triggered")
+        env = self.env
+        if when < env._now:
+            raise ValueError(f"cannot schedule in the past: {when!r} < now={env._now!r}")
+        self._ok = True
+        self._value = value
+        env._schedule(self, NORMAL, when)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -138,7 +158,7 @@ class Event:
             raise TypeError(f"fail() expects an exception, got {exception!r}")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, NORMAL, 0.0)
+        self.env._schedule(self, NORMAL, self.env._now)
         return self
 
 
@@ -152,7 +172,7 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        env._schedule(self, NORMAL, delay)
+        env._schedule(self, NORMAL, env._now + delay)
 
 
 class _Initialize(Event):
@@ -163,7 +183,7 @@ class _Initialize(Event):
         self._ok = True
         self._value = None
         self.callbacks.append(process._resume)
-        env._schedule(self, URGENT, 0.0)
+        env._schedule(self, URGENT, env._now)
 
 
 class Process(Event):
@@ -204,7 +224,7 @@ class Process(Event):
         interrupt_event._value = Interrupt(cause)
         interrupt_event._defused = True
         interrupt_event.callbacks.append(self._resume)
-        self.env._schedule(interrupt_event, URGENT, 0.0)
+        self.env._schedule(interrupt_event, URGENT, self.env._now)
 
     def _resume(self, event: Event) -> None:
         # Drop the subscription on the event we were waiting for (if we are
@@ -235,13 +255,13 @@ class Process(Event):
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            self.env._schedule(self, URGENT, 0.0)
+            self.env._schedule(self, URGENT, self.env._now)
             self.env._active = None
             return
         except BaseException as exc:
             self._ok = False
             self._value = exc
-            self.env._schedule(self, URGENT, 0.0)
+            self.env._schedule(self, URGENT, self.env._now)
             self.env._active = None
             return
         finally:
@@ -270,7 +290,7 @@ class Process(Event):
                 resume._defused = False
                 resume._dead = False
                 resume.callbacks = [self._resume]
-                self.env._schedule(resume, URGENT, 0.0)
+                self.env._schedule(resume, URGENT, self.env._now)
             else:
                 resume = Event(self.env)
                 resume._ok = next_event._ok
@@ -279,7 +299,7 @@ class Process(Event):
                     next_event._defused = True
                     resume._defused = True
                 resume.callbacks.append(self._resume)
-                self.env._schedule(resume, URGENT, 0.0)
+                self.env._schedule(resume, URGENT, self.env._now)
                 if next_event._ok:
                     self._resume_cache = resume
             self._target = resume
@@ -403,6 +423,12 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event firing at absolute time ``when``; ``ValueError`` if
+        ``when < now``.  Same-time order is ``(when, NORMAL, eid)``, as for
+        a :class:`Timeout`."""
+        return Event(self).succeed_at(when, value)
+
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
@@ -414,9 +440,10 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
+    def _schedule(self, event: Event, priority: int, when: float) -> None:
+        """Queue ``event`` to fire at absolute time ``when`` (>= ``now``)."""
         self._eid += 1
-        if self._indexed and delay == 0.0:
+        if self._indexed and when == self._now:
             # current-instant lane: O(1), no tuple, exact order preserved
             # via the carried eid (lanes only ever hold events at _now)
             event._eid = self._eid
@@ -425,9 +452,7 @@ class Environment:
             else:
                 self._normal.append(event)
         else:
-            heapq.heappush(
-                self._queue, (self._now + delay, priority, self._eid, event)
-            )
+            heapq.heappush(self._queue, (when, priority, self._eid, event))
 
     def _discard_dead(self) -> None:
         """Drop lazily-cancelled events from every queue head.

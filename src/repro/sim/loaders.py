@@ -55,7 +55,7 @@ from ..policy import (
 )
 from .kernel import AllOf, Environment
 from .resources import BandwidthPipe, Resource
-from .stores import PriorityStore, Store
+from .stores import ParkingLot, PriorityStore, Store
 from .workloads import HardwareConfig, WorkloadSpec
 
 __all__ = [
@@ -219,8 +219,11 @@ class SimContext:
         """Consume CPU time on one core (queueing if all cores are busy)."""
         if seconds <= 0:
             return
-        with self.cores.request() as req:
-            yield req
+        # a free core is granted on the spot: the chunk costs one timeout
+        cores = self.cores
+        with cores.try_acquire() or cores.request() as req:
+            if not req.processed:
+                yield req
             start = self.env.now
             yield self.env.timeout(seconds)
             self.cpu_recorder.record(start, self.env.now, tag)
@@ -260,8 +263,8 @@ class BaseSimLoader:
 
     Elastic re-sharding uses :meth:`rebind_shard` to clone a loader onto a
     re-derived sampler at an epoch boundary, and :meth:`halt` to retire a
-    failed node's polling workers instead of letting them spin in virtual
-    time forever.
+    failed node's idle workers instead of leaving them parked for the rest
+    of the simulation.
     """
 
     name = "base"
@@ -304,12 +307,15 @@ class BaseSimLoader:
         raise NotImplementedError
 
     def halt(self) -> None:
-        """Stop this loader's polling workers (elastic node failure).
+        """Stop this loader's workers (elastic node failure).
 
-        Blocked producers/consumers park on untriggered events and cost the
-        kernel nothing, but Minato's workers poll on timeouts; after a node
-        dies mid-epoch they would keep scheduling wake-ups for the rest of
-        the simulation.  ``halt()`` makes them retire at their next wake-up.
+        Blocked producers/consumers wait on untriggered events and cost the
+        kernel nothing.  Minato's idle workers park the same way, but they
+        are woken on their poll grid whenever state they watch changes, so
+        after a node dies mid-epoch they would linger on its dead stores.
+        ``halt()`` makes every worker retire at its next loop: a busy one
+        when its current step ends, a parked one at its next grid point
+        (Minato kicks its parked workers here).
         """
         self._halted = True
 
@@ -772,6 +778,13 @@ class SimMinatoLoader(BaseSimLoader):
         self.batch_stores = [Store(env, capacity=cap) for _ in range(ctx.num_gpus)]
         self._index_store = Store(env, capacity=cap)
         self._temp_store = Store(env, capacity=cap)
+        # idle workers park instead of polling; the lot is kicked on every
+        # change an idle worker's loop body reads: these stores' sizes, a
+        # loading worker's exit, feeding done, pool targets, halt() and
+        # (strict order) a ready-sample emission
+        self._idle = ParkingLot(env, self.poll_interval)
+        self._index_store.on_change = self._idle.kick
+        self._temp_store.on_change = self._idle.kick
         # fast-before-slow retrieval (Algorithm 1's preference) without
         # polling: one priority store keyed by the construction policy's
         # priority (fast samples before slow ones)
@@ -862,6 +875,11 @@ class SimMinatoLoader(BaseSimLoader):
             return workload.epochs * len(self.sampler)
         return self.batch_budget(self.ctx, self.sampler) * workload.batch_size
 
+    def halt(self) -> None:
+        super().halt()
+        if self.ctx is not None:
+            self._idle.kick()
+
     # -- worker pool --------------------------------------------------------------
 
     def _fill_pools(self) -> None:
@@ -891,6 +909,7 @@ class SimMinatoLoader(BaseSimLoader):
             epoch, seq, index = next(stream)
             yield self._index_store.put((epoch, seq, index))
         self._feeding_done = True
+        self._idle.kick()
 
     def _emit_ready(self, seq: int, spec: SampleSpec, flagged_slow: bool):
         """Route one preprocessed sample through the construction policy.
@@ -900,17 +919,20 @@ class SimMinatoLoader(BaseSimLoader):
         """
         item = (spec, flagged_slow)
         key = self.construction.priority_key
-        return self.construction.route_ready(
+        event = self.construction.route_ready(
             seq,
             item,
             flagged_slow,
             put_fast=lambda it: self._ready_store.put((key(False), it)),
             put_slow=lambda it: self._ready_store.put((key(True), it)),
         )
+        if event is None:
+            # strict order: the reorder buffer grew
+            self._idle.kick()
+        return event
 
     def _loading_worker(self) -> Generator:
         ctx = self.ctx
-        env = ctx.env
         try:
             while True:
                 if self._halted or self._active_workers > self._loading_target:
@@ -919,7 +941,7 @@ class SimMinatoLoader(BaseSimLoader):
                 if item is None:
                     if self._feeding_done and len(self._index_store) == 0:
                         return
-                    yield env.timeout(self.poll_interval)
+                    yield self._idle.park()
                     continue
                 _epoch, seq, index = item
                 spec = ctx.workload.dataset.spec(index)
@@ -962,10 +984,10 @@ class SimMinatoLoader(BaseSimLoader):
                         yield event
         finally:
             self._active_workers -= 1
+            self._idle.kick()
 
     def _slow_worker(self) -> Generator:
         ctx = self.ctx
-        env = ctx.env
         try:
             while True:
                 if self._halted or self._active_slow > self._slow_target:
@@ -979,7 +1001,7 @@ class SimMinatoLoader(BaseSimLoader):
                         and len(self._temp_store) == 0
                     ):
                         return
-                    yield env.timeout(self.poll_interval)
+                    yield self._idle.park()
                     continue
                 spec, resume_at, profile, seq = item
                 for cost in profile[resume_at:]:
@@ -1001,10 +1023,10 @@ class SimMinatoLoader(BaseSimLoader):
                 if got is not None:
                     return got
                 if self._halted:
-                    # dead node: park on a never-triggered event instead of
-                    # polling in virtual time for the rest of the simulation
+                    # dead node: wait on a never-triggered event, so later
+                    # emissions cannot revive its batch construction
                     yield env.event()
-                yield env.timeout(self.poll_interval)
+                yield self._idle.park()
         else:
             _key, item = yield self._ready_store.get()
             return item
@@ -1062,4 +1084,5 @@ class SimMinatoLoader(BaseSimLoader):
                 continue
             self._loading_target = action.loading_target
             self._slow_target = action.background_target
+            self._idle.kick()
             self._fill_pools()

@@ -83,6 +83,25 @@ class Resource:
             self.queue.append(event)
         return event
 
+    def try_acquire(self) -> Optional[Request]:
+        """Take a free slot at once, scheduling no event.
+
+        Returns an already-granted :class:`Request` (release it as usual)
+        when nobody is queued and a slot is free -- exactly when
+        :meth:`request` would grant immediately -- else ``None``: the
+        caller then queues with :meth:`request`.  The grant is marked
+        processed, so yielding it resumes at once.
+        """
+        if self.queue or len(self.users) >= self.capacity:
+            return None
+        request = Request(self)
+        request._ok = True
+        request._value = None
+        request.callbacks = None
+        self.users.append(request)
+        self._notify()
+        return request
+
     def release(self, request: Request) -> None:
         """Release a request: free its slot if granted, drop it from the
         wait queue if still pending.

@@ -1,4 +1,6 @@
-"""Golden results for the Minato simulator model's idle-worker waiting.
+"""Idle simulated loader workers park on their poll grid.
+
+The first half pins golden results of the Minato simulator model.
 
 The pins below were recorded with idle workers sleeping one
 ``poll_interval`` timeout at a time.  Parking them until a state change and
@@ -6,6 +8,9 @@ waking them on the same poll grid must leave every result bit-identical:
 ``training_time`` and GPU utilisation are pinned by exact ``repr``, every
 other result field (except the kernel's own ``sim_events`` counter) by a
 digest.  Each run executes on both kernel queue kinds.
+
+The second half unit-tests the parking mechanics: :class:`ParkingLot`, the
+kernel's absolute-time ``timeout_at`` and the loader's ``halt()``.
 """
 
 import dataclasses
@@ -16,7 +21,10 @@ import pytest
 import repro.sim.kernel as kernel
 from repro.policy.scaling import ScalingPolicy
 from repro.sim.distributed import ClusterMembership, MembershipEvent, run_elastic
+from repro.sim.kernel import Environment
+from repro.sim.loaders import SimContext, SimMinatoLoader
 from repro.sim.runner import run_simulation
+from repro.sim.stores import ParkingLot, Store
 from repro.sim.workloads import CONFIG_A, make_workload
 
 QUEUES = kernel.QUEUE_KINDS
@@ -116,3 +124,157 @@ def test_elastic_churn_pinned(queue):
     assert repr(result.training_time) == "5.400365326888201"
     assert repr(result.gpu_utilization) == "0.36525690764486096"
     assert digest(result, {"training_time", "gpu_utilization", "sim_events"}) == "377ad5c0c2389973"
+
+
+# ---------------------------------------------------------------------------
+# Parking mechanics
+# ---------------------------------------------------------------------------
+
+
+def idle_taker(env, store, wait, taken):
+    """A worker that takes one item, waiting with ``wait()`` on each miss."""
+    while True:
+        item = store.try_get()
+        if item is not None:
+            taken.append((env.now, item))
+            return
+        yield wait()
+
+
+def take_time(queue, put_at, parked):
+    env = Environment(queue=queue)
+    store = Store(env)
+    taken = []
+    if parked:
+        lot = ParkingLot(env, 0.01)
+        store.on_change = lot.kick
+        wait = lot.park
+    else:
+        wait = lambda: env.timeout(0.01)  # noqa: E731 -- the sleeping loop
+
+    def producer():
+        yield env.timeout(put_at)
+        store.put("x")
+
+    env.process(idle_taker(env, store, wait, taken))
+    env.process(producer())
+    env.run()
+    return taken[0][0], env.events_processed
+
+
+@pytest.mark.parametrize("queue", QUEUES)
+def test_parked_worker_schedules_nothing_while_idle(queue):
+    env = Environment(queue=queue)
+    store = Store(env)
+    lot = ParkingLot(env, 0.01)
+    store.on_change = lot.kick
+    taken = []
+    env.process(idle_taker(env, store, lot.park, taken))
+    env.run(until=1000.0)
+    # the start-up event only: a sleeping loop would have ticked 100,000 times
+    assert env.events_processed == 1
+    assert len(lot) == 1 and taken == []
+
+
+@pytest.mark.parametrize("queue", QUEUES)
+@pytest.mark.parametrize("put_at", [0.0137, 2.0137])
+def test_parked_worker_takes_on_the_accumulated_grid(queue, put_at):
+    grid = 0.0
+    while grid < put_at:
+        grid += 0.01
+    when, events = take_time(queue, put_at, parked=True)
+    assert when == grid
+    polled_when, polled_events = take_time(queue, put_at, parked=False)
+    assert when == polled_when
+    assert events < polled_events
+
+
+def test_kick_at_a_grid_point_wakes_at_once():
+    env = Environment()
+    lot = ParkingLot(env, 0.25)
+    woke = []
+
+    def sleeper():
+        yield lot.park()
+        woke.append(env.now)
+
+    def kicker():
+        yield env.timeout(0.5)
+        lot.kick()
+
+    env.process(sleeper())
+    env.process(kicker())
+    env.run()
+    assert woke == [0.5]
+
+
+def test_parking_lot_rejects_bad_interval():
+    with pytest.raises(ValueError):
+        ParkingLot(Environment(), 0.0)
+
+
+@pytest.mark.parametrize("queue", QUEUES)
+def test_halt_retires_parked_workers(queue):
+    env = Environment(queue=queue)
+    workload = make_workload("speech_3s", seed=3, dataset_size=48).scaled(0.01)
+    ctx = SimContext(env, workload, CONFIG_A, 1)
+    loader = SimMinatoLoader(workers_per_gpu=2, slow_workers=2)
+    loader.start(ctx)
+    env.run(until=0.5)
+    assert len(loader._idle) > 0 and loader._active_slow == 2
+    loader.halt()
+    env.run(until=0.5 + loader.poll_interval)
+    assert loader._active_slow == 0
+    env.run(until=30.0)
+    # nothing stays scheduled for a dead node's loader
+    assert loader._active_workers == 0 and env.peek() == float("inf")
+
+
+def timeout_at_order(queue):
+    env = Environment(queue=queue)
+    fired = []
+
+    def note(label):
+        return lambda _event: fired.append((env.now, label))
+
+    def driver():
+        yield env.timeout(1.0)
+        env.timeout_at(1.5).callbacks.append(note("at 1.5 first"))
+        env.timeout(0.5).callbacks.append(note("timeout 0.5"))
+        env.timeout_at(1.5).callbacks.append(note("at 1.5 second"))
+        env.timeout_at(1.0).callbacks.append(note("at now"))
+        env.event().succeed().callbacks.append(note("succeed now"))
+        env.timeout(0.0).callbacks.append(note("timeout 0"))
+        with pytest.raises(ValueError):
+            env.timeout_at(0.5)
+
+    env.process(driver())
+    env.run()
+    return fired
+
+
+def test_timeout_at_orders_like_timeouts_on_both_queues():
+    fired = timeout_at_order("indexed")
+    assert fired == timeout_at_order("heap")
+    assert fired == [
+        (1.0, "at now"),
+        (1.0, "succeed now"),
+        (1.0, "timeout 0"),
+        (1.5, "at 1.5 first"),
+        (1.5, "timeout 0.5"),
+        (1.5, "at 1.5 second"),
+    ]
+
+
+def test_cpu_chunk_on_a_free_core_costs_one_event():
+    env = Environment()
+    ctx = SimContext(env, make_workload("speech_3s", dataset_size=8), CONFIG_A, 1)
+
+    def chunk():
+        yield from ctx.cpu_busy(0.5)
+
+    env.process(chunk())
+    env.run()
+    # process start, the chunk's timeout, process end: no grant event
+    assert env.events_processed == 3
+    assert ctx.cpu_busy_seconds == 0.5 and ctx.cores.count == 0

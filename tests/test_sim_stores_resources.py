@@ -297,6 +297,42 @@ def test_resource_double_release_is_tracked_noop():
     assert res.double_releases == 1
 
 
+def test_resource_try_acquire_grants_free_slot_without_an_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    occupancy = []
+    res.on_change = lambda now, in_use: occupancy.append(in_use)
+    held = res.try_acquire()
+    assert held is not None and held.processed and res.users == [held]
+    assert not env._pending()
+    # full: no grant, and a queued request keeps its place ahead of later
+    # fast-path attempts
+    assert res.try_acquire() is None
+    waiter = res.request()
+    res.release(held)
+    assert res.users == [waiter]
+    assert res.try_acquire() is None
+    res.release(waiter)
+    assert res.try_acquire() is not None
+    assert occupancy == [1, 1, 0, 1]
+
+
+def test_resource_try_acquire_grant_can_be_yielded():
+    env = Environment()
+    res = Resource(env, capacity=2)
+    log = []
+
+    def user():
+        with res.try_acquire() as req:
+            yield req  # already granted: resumes at once
+            log.append(env.now)
+            yield env.timeout(1.0)
+
+    env.process(user())
+    env.run()
+    assert log == [0.0] and res.count == 0
+
+
 # ---------------------------------------------------------------------------
 # BandwidthPipe
 # ---------------------------------------------------------------------------
