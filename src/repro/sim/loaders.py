@@ -21,7 +21,9 @@ sample-by-sample.
   partial work is discarded and it re-executes fully in a background
   slow-task worker.  Fast/slow routing uses a priority store (fast first),
   per-GPU batch queues, warm-up profiling with P75/P90 thresholds, and the
-  Formula 1-2 worker scheduler resizing the loading-worker pool.
+  Formula 1-2 worker scheduler resizing the loading-worker pool.  Where
+  Algorithm 1 sleeps 10 ms on empty queues, an idle worker parks in a
+  :class:`ParkingLot` and wakes on that same 10 ms grid only after a change.
 
 The Minato model is the *discrete-event substrate* of the paper's loader:
 every scheduling decision -- fast/slow routing (preemptive accounting),
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Generator, Iterator, List, Optional
+from typing import Any, Generator, Iterator, List, Optional
 
 from ..core.profiler import TimeoutProfiler
 from ..core.scheduler import SchedulerDecision, WorkerScheduler
@@ -53,9 +55,9 @@ from ..policy import (
     deal_batch_plan,
     index_stream,
 )
-from .kernel import AllOf, Environment
+from .kernel import AllOf, Environment, Event
 from .resources import BandwidthPipe, Resource
-from .stores import ParkingLot, PriorityStore, Store
+from .stores import PriorityStore, Store
 from .workloads import HardwareConfig, WorkloadSpec
 
 __all__ = [
@@ -250,6 +252,59 @@ class SimContext:
 
 #: shared with the threaded engine (kept under the old name for importers)
 _deal_batch_plan = deal_batch_plan
+
+
+class ParkingLot:
+    """Idle pollers parked until a state change, woken on their poll grid.
+
+    A poller that finds nothing to do could sleep ``interval`` and look
+    again, one kernel event per tick for as long as it stays idle.  A
+    parked poller schedules nothing instead: :meth:`park` records the
+    instant of its miss (its *anchor*) and returns an event to wait on.
+    :meth:`kick` -- called on every state change a parked poller could
+    observe -- wakes each one at its next grid point, ``anchor + interval``
+    advanced by further ``+ interval`` steps until it is not before ``now``:
+    the same float additions the sleeping loop would have made.  The woken
+    poller re-runs its loop body at an instant it would have polled anyway,
+    so it sees what the sleeper would have seen; if it still finds nothing
+    it parks again, anchored at that grid point.  A kick never hands over
+    work, it only ends the parking.
+    """
+
+    def __init__(self, env: Environment, interval: float) -> None:
+        if interval <= 0:
+            raise ValueError(f"interval must be positive, got {interval!r}")
+        self.env = env
+        self.interval = interval
+        #: (wake event, anchor) per parked poller, in parking order
+        self._parked: list = []
+
+    def __len__(self) -> int:
+        return len(self._parked)
+
+    def park(self) -> Event:
+        """Park the calling poller; yield the returned event to wait."""
+        event = Event(self.env)
+        self._parked.append((event, self.env.now))
+        return event
+
+    def kick(self, *_ignored: Any) -> None:
+        """Wake every parked poller at its next grid point.
+
+        Arguments are ignored, so a lot can serve directly as a store's
+        ``on_change`` callback.
+        """
+        parked = self._parked
+        if not parked:
+            return
+        self._parked = []
+        now = self.env.now
+        interval = self.interval
+        for event, when in parked:
+            when += interval
+            while when < now:
+                when += interval
+            event.succeed_at(when)
 
 
 class BaseSimLoader:

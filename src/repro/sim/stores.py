@@ -5,8 +5,9 @@ non-blocking ``try_put``/``try_get``.  The MinatoLoader model's workers take
 work with ``try_get``, which sidesteps the classic pitfall of abandoned
 ``get`` events consuming items.  The paper's Algorithm 1 sleeps 10 ms when
 its queues are empty; in the model a worker that misses parks in a
-:class:`ParkingLot` instead, scheduling nothing until a kick on a state
-change wakes it at the instant its next 10 ms poll would have come.
+:class:`~repro.sim.loaders.ParkingLot` instead, scheduling nothing until a
+kick on a state change wakes it at the instant its next 10 ms poll would
+have come.
 
 :class:`PriorityStore` orders retrieval by a key, used by models that need
 deadline- or size-ordered queues (e.g. the ablation benchmarks).
@@ -20,7 +21,7 @@ from typing import Any, Callable, Optional
 
 from .kernel import Environment, Event
 
-__all__ = ["Store", "PriorityStore", "ParkingLot"]
+__all__ = ["Store", "PriorityStore"]
 
 
 class StorePut(Event):
@@ -176,56 +177,3 @@ class PriorityStore(Store):
     def _pop_item(self) -> Any:
         key, _seq, payload = heapq.heappop(self.items)
         return (key, payload)
-
-
-class ParkingLot:
-    """Idle pollers parked until a state change, woken on their poll grid.
-
-    A poller that finds nothing to do could sleep ``interval`` and look
-    again, one kernel event per tick for as long as it stays idle.  A
-    parked poller schedules nothing instead: :meth:`park` records the
-    instant of its miss (its *anchor*) and returns an event to wait on.
-    :meth:`kick` -- called on every state change a parked poller could
-    observe -- wakes each one at its next grid point, ``anchor + interval``
-    advanced by further ``+ interval`` steps until it is not before ``now``:
-    the same float additions the sleeping loop would have made.  The woken
-    poller re-runs its loop body at an instant it would have polled anyway,
-    so it sees what the sleeper would have seen; if it still finds nothing
-    it parks again, anchored at that grid point.  A kick never hands over
-    work, it only ends the parking.
-    """
-
-    def __init__(self, env: Environment, interval: float) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval!r}")
-        self.env = env
-        self.interval = interval
-        #: (wake event, anchor) per parked poller, in parking order
-        self._parked: list = []
-
-    def __len__(self) -> int:
-        return len(self._parked)
-
-    def park(self) -> Event:
-        """Park the calling poller; yield the returned event to wait."""
-        event = Event(self.env)
-        self._parked.append((event, self.env.now))
-        return event
-
-    def kick(self, *_ignored: Any) -> None:
-        """Wake every parked poller at its next grid point.
-
-        Arguments are ignored, so a lot can serve directly as a store's
-        ``on_change`` callback.
-        """
-        parked = self._parked
-        if not parked:
-            return
-        self._parked = []
-        now = self.env.now
-        interval = self.interval
-        for event, when in parked:
-            when += interval
-            while when < now:
-                when += interval
-            event.succeed_at(when)

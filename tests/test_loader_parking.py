@@ -15,6 +15,7 @@ kernel's absolute-time ``timeout_at`` and the loader's ``halt()``.
 
 import dataclasses
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,9 +23,9 @@ import repro.sim.kernel as kernel
 from repro.policy.scaling import ScalingPolicy
 from repro.sim.distributed import ClusterMembership, MembershipEvent, run_elastic
 from repro.sim.kernel import Environment
-from repro.sim.loaders import SimContext, SimMinatoLoader
+from repro.sim.loaders import ParkingLot, SimContext, SimMinatoLoader
 from repro.sim.runner import run_simulation
-from repro.sim.stores import ParkingLot, Store
+from repro.sim.stores import Store
 from repro.sim.workloads import CONFIG_A, make_workload
 
 QUEUES = kernel.QUEUE_KINDS
@@ -278,3 +279,78 @@ def test_cpu_chunk_on_a_free_core_costs_one_event():
     # process start, the chunk's timeout, process end: no grant event
     assert env.events_processed == 3
     assert ctx.cpu_busy_seconds == 0.5 and ctx.cores.count == 0
+
+
+def test_workers_retire_once_the_stream_drains():
+    env = Environment()
+    workload = make_workload("speech_3s", seed=3, dataset_size=48).scaled(0.01)
+    ctx = SimContext(env, workload, CONFIG_A, 1)
+    # no sample goes slow and no pool resize kicks: the slow workers idle
+    # from start to finish
+    loader = SimMinatoLoader(
+        workers_per_gpu=2,
+        slow_workers=2,
+        timeout_override=1e9,
+        adaptive_workers=False,
+    )
+    loader.start(ctx)
+    batches = []
+
+    def consumer():
+        while True:
+            batch = yield from loader.get_batch(0)
+            if batch is None:
+                return
+            batches.append(batch)
+
+    env.process(consumer())
+    env.run()
+    assert len(batches) == workload.total_batches(1)
+    # the last loading worker's exit kicks the idle slow workers, which
+    # then see a drained stream and retire instead of staying parked
+    assert ctx.samples_slow == 0
+    assert loader._active_workers == 0 and loader._active_slow == 0
+    assert len(loader._idle) == 0
+
+
+def test_worker_that_missed_before_feeding_finished_retires_on_the_grid():
+    env = Environment()
+    workload = make_workload("speech_3s", seed=3, dataset_size=48)
+    ctx = SimContext(env, workload, CONFIG_A, 1)
+    loader = SimMinatoLoader(
+        workers_per_gpu=2, slow_workers=2, adaptive_workers=False, poll_interval=1e-4
+    )
+    loader.total_samples_override = 1
+    loader.start(ctx)
+    # at t=0 the first loading worker takes the only sample and the second
+    # misses before the feeder marks the stream done; the feeder's kick
+    # retires it at its first grid point, long before the sample is done
+    env.run(until=1.5e-4)
+    assert loader._feeding_done and loader._active_workers == 1
+
+
+def test_shrinking_the_background_pool_retires_parked_workers():
+    env = Environment()
+    workload = make_workload("speech_3s", seed=3, dataset_size=48)
+    ctx = SimContext(env, workload, CONFIG_A, 1)
+    # tiny queues and no consumer: the pipeline fills and goes quiet, and
+    # no sample goes slow, so only a pool-target change can wake the slow
+    # workers
+    loader = SimMinatoLoader(
+        workers_per_gpu=2, slow_workers=3, queue_capacity=2, timeout_override=1e9
+    )
+    loader.start(ctx)
+    shrink_at = 100.0
+
+    def observe(now, **_signals):
+        if now < shrink_at:
+            return None
+        return SimpleNamespace(
+            loading_target=loader._loading_target, background_target=1
+        )
+
+    loader.scaling.observe = observe
+    env.run(until=shrink_at - 0.5)
+    assert loader._active_slow == 3 and len(loader._idle) >= 3
+    env.run(until=shrink_at + loader.poll_interval)
+    assert loader._active_slow == 1
