@@ -151,7 +151,9 @@ def take_time(queue, put_at, parked):
         store.on_change = lot.kick
         wait = lot.park
     else:
-        wait = lambda: env.timeout(0.01)  # noqa: E731 -- the sleeping loop
+        # the sleeping loop parking replaces
+        def wait():
+            return env.timeout(0.01)
 
     def producer():
         yield env.timeout(put_at)
