@@ -114,8 +114,11 @@ class _WorkerPool:
                 target=self._run, args=(worker_id,), name=f"minato-worker-{worker_id}",
                 daemon=True,
             )
-            self._threads.append(thread)
+            # started before it is listed: a shutdown racing this spawn
+            # must never join a thread that has not started
             thread.start()
+            with self._lock:
+                self._threads.append(thread)
 
     def _run(self, worker_id: int) -> None:
         try:
@@ -150,7 +153,9 @@ class _WorkerPool:
 
     def join_all(self, timeout: float = 5.0) -> None:
         deadline = time.monotonic() + timeout
-        for thread in self._threads:
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
             remaining = max(0.0, deadline - time.monotonic())
             thread.join(timeout=remaining)
 

@@ -296,7 +296,8 @@ class DistributedResult:
     #: seconds of synchronization *not* hidden behind backprop (summed over
     #: ranks): in serial mode this equals ``sync_seconds_total``; with
     #: bucketed overlap it is each step's wait after the last compute slice
-    #: finished.  Always <= ``sync_seconds_total``.
+    #: finished.  Always <= ``sync_seconds_total`` up to float rounding
+    #: (the two sums accumulate their terms in different orders).
     exposed_sync_seconds: float = 0.0
     #: total gradient bytes each rank pushed through collectives (summed
     #: over ranks); bucketing re-slices but never changes this
@@ -425,10 +426,12 @@ class DistributedResult:
     @property
     def overlap_efficiency(self) -> float:
         """Fraction of synchronization hidden behind backprop
-        (0 for serial runs with nonzero sync)."""
+        (0 for serial runs with nonzero sync), clamped to [0, 1] against
+        the rounding in ``exposed_sync_seconds``."""
         if self.sync_seconds_total <= 0:
             return 0.0
-        return 1.0 - self.exposed_sync_seconds / self.sync_seconds_total
+        hidden = 1.0 - self.exposed_sync_seconds / self.sync_seconds_total
+        return min(1.0, max(0.0, hidden))
 
     @property
     def epoch_mean_overlap(self) -> List[float]:

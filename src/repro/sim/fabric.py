@@ -285,14 +285,19 @@ class RingFabric:
     ) -> None:
         """Land ``sender``'s finished chunk at ``receiver``.
 
-        Without partitions this succeeds the delivery inline -- no extra
-        kernel event, byte-identical to the pre-partition fabric.  A
-        delivery crossing an active partition window stalls until the
-        window heals: the receiver waits, nothing aborts, and once healed
-        the ring resumes where it stopped.
+        A delivery the receiver is already blocked on succeeds through the
+        kernel queue, which resumes the receiver.  One nobody waits on yet
+        lands in place, already processed, with no kernel event at all
+        (:meth:`~repro.sim.kernel.Event.succeed_in_place`): every reader --
+        the receiver's ``_ring_pass``, ``_remove``, the ``_fill_in``
+        detector and the partition ``stalled()`` process -- tests
+        ``triggered`` before it yields, so nothing can observe the
+        difference.  A delivery crossing an active partition window stalls
+        until the window heals: the receiver waits, nothing aborts, and
+        once healed the ring resumes where it stopped.
         """
         if self.partitions is None:
-            event.succeed()
+            event.succeed_in_place()
             return
         release = self.partitions.partition_release(
             self.env.now,
@@ -300,7 +305,7 @@ class RingFabric:
             self._member_node(receiver),
         )
         if release <= self.env.now:
-            event.succeed()
+            event.succeed_in_place()
             return
         self.partition_stall_seconds += release - self.env.now
         delay = release - self.env.now
@@ -310,7 +315,7 @@ class RingFabric:
             # a failure-detector fill-in may have landed the chunk while
             # the cut was open; a delivery only ever succeeds once
             if not event.triggered:
-                event.succeed()
+                event.succeed_in_place()
 
         self.env.process(stalled())
 

@@ -35,6 +35,20 @@ targets are lazily cancelled (skipped at their fire time instead of being
 popped, walked and failure-checked), and the throwaway resume ``Event``
 that :meth:`Process._resume` allocates when yielding an already-processed
 event is recycled per process.
+
+Three more cuts keep unobserved work out of the queue on both queue kinds,
+without moving any remaining event in the pop order:
+
+* ``Event.succeed_in_place()`` lands an event nobody is subscribed to as
+  already processed instead of queueing it to run zero callbacks (the ring
+  fabric's deliveries, whose readers all test ``triggered`` first);
+* ``Environment._reserve_eid()`` takes a scheduling id without queueing
+  anything, and ``_schedule_reserved()`` queues an event under it later in
+  the same instant -- the shared links' completion timers use it so that a
+  timer revised before its instant ends is queued once, never left behind
+  as a dead event;
+* ``run()`` loops on the pop directly, so each processed event costs one
+  dead-event sweep; :meth:`Environment.step` stays for direct callers.
 """
 
 from __future__ import annotations
@@ -149,6 +163,26 @@ class Event:
         self._ok = True
         self._value = value
         env._schedule(self, NORMAL, when)
+        return self
+
+    def succeed_in_place(self, value: Any = None) -> "Event":
+        """Succeed now; with no subscriber, without queueing an event.
+
+        An event nobody waits on would run zero callbacks when the queue
+        reached it, so it is marked succeeded *and* processed on the spot
+        instead.  A later ``yield`` would then resume its process through
+        the already-processed path (urgent, at once) rather than after the
+        queued event, so this is only for events whose every reader tests
+        :attr:`triggered` before it yields.  With a subscriber it is plain
+        :meth:`succeed`.
+        """
+        if self.callbacks:
+            return self.succeed(value)
+        if self._ok is not None:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        self.callbacks = None
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -454,6 +488,28 @@ class Environment:
         else:
             heapq.heappush(self._queue, (when, priority, self._eid, event))
 
+    def _reserve_eid(self) -> int:
+        """Take the next scheduling id without queueing anything.
+
+        :meth:`_schedule_reserved` queues an event under it later in the
+        same instant; the pop order is then exactly as if the event had
+        been scheduled when the id was taken, and an id that is never used
+        leaves no dead event behind.
+        """
+        self._eid += 1
+        return self._eid
+
+    def _schedule_reserved(self, event: Event, when: float, eid: int) -> None:
+        """Queue ``event`` at ``when`` (strictly after ``now``, so it goes
+        on the heap in either queue kind) under ``eid``, an id taken earlier
+        by :meth:`_reserve_eid`.  Goes through :meth:`_schedule` with the
+        id counter wound back for the one call, so whatever wraps
+        ``_schedule`` still sees every queued event."""
+        latest = self._eid
+        self._eid = eid - 1
+        self._schedule(event, NORMAL, when)
+        self._eid = latest
+
     def _discard_dead(self) -> None:
         """Drop lazily-cancelled events from every queue head.
 
@@ -537,6 +593,26 @@ class Environment:
     def _pending(self) -> bool:
         return bool(self._queue or self._urgent or self._normal)
 
+    def _drain(self, done: Any = ()) -> bool:
+        """Process events until ``done`` is truthy (True) or the schedule
+        empties (False).
+
+        :meth:`step` repeated with its body inlined, so each event costs
+        one dead-event sweep (the one inside :meth:`_pop_next`).
+        """
+        pop_next = self._pop_next
+        while not done:
+            event = pop_next()
+            if event is None:
+                return False
+            self.events_processed += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if event._ok is False and not event._defused:
+                raise event._value
+        return True
+
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
@@ -545,11 +621,7 @@ class Environment:
         it is processed, returning its value).
         """
         if until is None:
-            while self._pending():
-                self._discard_dead()
-                if not self._pending():
-                    break
-                self.step()
+            self._drain()
             return None
 
         if isinstance(until, Event):
@@ -558,13 +630,10 @@ class Environment:
                 return sentinel._value
             done = []
             sentinel.callbacks.append(lambda event: done.append(event))
-            while not done:
-                self._discard_dead()
-                if not self._pending():
-                    raise EmptySchedule(
-                        "schedule drained before the target event triggered"
-                    )
-                self.step()
+            if not self._drain(done):
+                raise EmptySchedule(
+                    "schedule drained before the target event triggered"
+                )
             if sentinel._ok:
                 return sentinel._value
             sentinel._defused = True

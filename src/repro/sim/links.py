@@ -27,12 +27,18 @@ equivalence grid):
   exactly what ``Topology.collapse_schedule`` still uses for the
   homogeneous-rank fast path.
 
-The fluid revision trick: a transfer's completion timer is scheduled the
-moment its finish time is projectable, and *re-projected* when the fair
-share changes -- the old timer's callbacks migrate to a new timer and the
+The fluid revision trick: a transfer's completion timer exists from the
+moment its finish time is projectable, and is *re-projected* when the fair
+share changes -- a queued timer's callbacks migrate to a new timer and the
 old one is lazily skipped by the kernel (``events_skipped``, never
 ``events_processed``), which keeps event counts identical to the legacy
-one-timer-per-transfer model whenever no revision happens.  A transfer
+one-timer-per-transfer model whenever no revision happens.  With several
+streams active, re-projections within one instant are settled by one
+end-of-instant pass; a timer opened while that pass is armed only reserves
+its kernel scheduling id, and the pass queues it under that id (finish
+unchanged) or under a fresh one (finish moved), exactly where queueing it
+at submit and migrating it would have put it -- so a timer revised within
+its own instant never becomes a dead event.  A transfer
 that is past its drain point but still inside its latency tail continues
 to count as an active flow until its timer fires; the resulting slight
 under-estimate of the other flows' rates is the documented approximation
@@ -53,7 +59,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Hashable, List, Optional
 
-from .kernel import Environment, Event, Timeout
+from .kernel import NORMAL, Environment, Event, Timeout
 
 __all__ = ["SharedLink", "Stream"]
 
@@ -73,6 +79,7 @@ class _Transfer:
         "finish",
         "timer",
         "timer_at",
+        "reserved",
         "done",
     )
 
@@ -90,10 +97,13 @@ class _Transfer:
         self.share = 0.0
         self.drain = now
         self.finish = now
-        self.timer: Optional[Timeout] = None
+        self.timer: Optional[Event] = None
         #: absolute fire time of ``timer`` (``finish`` may run ahead of it
         #: while a same-instant settle pass is pending)
         self.timer_at = now
+        #: scheduling id reserved for ``timer`` while it waits, unqueued,
+        #: for this instant's settle pass (0: queued, or no timer yet)
+        self.reserved = 0
         self.done = False
 
 
@@ -147,7 +157,7 @@ class Stream:
             return 0.0
         return max(0.0, self._chain[-1].drain - self.link.env.now)
 
-    def transfer(self, nbytes) -> Timeout:
+    def transfer(self, nbytes) -> Event:
         """Move ``nbytes`` on this stream; returns the completion event."""
         return self.link._submit(self, nbytes)
 
@@ -214,7 +224,7 @@ class SharedLink:
     def _n_active(self) -> int:
         return self._active
 
-    def _submit(self, stream: Stream, nbytes) -> Timeout:
+    def _submit(self, stream: Stream, nbytes) -> Event:
         env = self.env
         now = env.now
         if nbytes == 0:
@@ -240,7 +250,7 @@ class SharedLink:
             if t.timer is None:
                 # the settle pass is batched per instant, but the caller
                 # needs this transfer's completion event right now
-                self._set_timer(t, t.finish, now)
+                self._open_timer(t, t.finish, now)
         else:
             # same-stream FIFO append: nobody's fair share changed, so only
             # the new tail needs projecting -- chained at the predecessor's
@@ -253,7 +263,7 @@ class SharedLink:
             t.share = share
             t.drain = t.anchor + t.remaining / share
             finish = t.anchor + self.latency + t.remaining / share
-            self._set_timer(t, finish, now)
+            self._open_timer(t, finish, now)
         return t.timer
 
     def _advance(self, now: float) -> None:
@@ -333,13 +343,44 @@ class SharedLink:
 
     def _settle(self, _event: Event) -> None:
         """End-of-instant sweep: align every live timer with its (possibly
-        repeatedly revised) projection in one pass."""
+        repeatedly revised) projection in one pass, and queue the timers
+        opened this instant under their reserved ids."""
         self._settle_armed = False
-        now = self.env.now
+        env = self.env
+        now = env.now
         for s in self._streams.values():
             for t in s._chain:
                 if t.timer is None or t.timer_at != t.finish:
                     self._set_timer(t, t.finish, now)
+                elif t.reserved:
+                    # projection unchanged since submit: the timer fires
+                    # exactly where a timer queued then would have
+                    env._schedule_reserved(
+                        t.timer, now + (t.finish - now), t.reserved
+                    )
+                    t.reserved = 0
+
+    def _open_timer(self, t: _Transfer, finish: float, now: float) -> None:
+        """Create ``t``'s completion timer at submit.
+
+        While this instant's settle pass is armed, a later submit may still
+        revise ``finish``, so a future timer only reserves its scheduling id
+        here; :meth:`_settle` (or an earlier :meth:`_set_timer`) queues it.
+        The ids are consumed exactly as if the timer had been queued now,
+        so the pop order of every event is unchanged, but a timer revised
+        before the instant ends is queued once instead of being left in the
+        queue dead."""
+        if not (self._settle_armed and finish > now):
+            self._set_timer(t, finish, now)
+            return
+        t.finish = finish
+        t.timer_at = finish
+        timer = Event(self.env)
+        timer._ok = True
+        timer._value = t.nbytes
+        timer.callbacks.append(lambda _event, t=t: self._complete(t))
+        t.timer = timer
+        t.reserved = self.env._reserve_eid()
 
     def _set_timer(self, t: _Transfer, finish: float, now: float) -> None:
         t.finish = finish
@@ -347,8 +388,14 @@ class SharedLink:
         delay = finish - now
         if delay < 0.0:
             delay = 0.0
-        timer = Timeout(self.env, delay, t.nbytes)
         old = t.timer
+        if t.reserved:
+            # never queued: queue the same event under a fresh id (the one a
+            # migrated timer would take); its reserved id stays unused
+            t.reserved = 0
+            self.env._schedule(old, NORMAL, now + delay)
+            return
+        timer = Timeout(self.env, delay, t.nbytes)
         if old is None:
             timer.callbacks.append(lambda _event, t=t: self._complete(t))
         else:

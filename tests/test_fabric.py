@@ -162,3 +162,46 @@ def test_allreduce_closed_form_is_the_true_ring_cost():
     expected = 2 * (world - 1) * (0.002 + 1e9 / (world * 1e10))
     assert model.step_cost(world) == pytest.approx(expected)
     assert model.step_cost(1) == 0.0
+
+
+def test_unwaited_deliveries_queue_no_event_and_waiters_resume_on_time():
+    """A delivery nobody is blocked on lands in place without a kernel
+    event; one a receiver waits on (here, on a late-entering straggler)
+    is queued and resumes the receiver at the delivery instant."""
+    env = Environment()
+    fabric = RingFabric(env, latency=0.5, bandwidth=1.0, gradient_bytes=3.0)
+    fabric.set_ring([0, 1, 2])
+    scheduled, delivered = [], []
+    schedule, deliver = env._schedule, fabric._deliver
+
+    def recording_schedule(event, priority, when):
+        scheduled.append(event)
+        schedule(event, priority, when)
+
+    def recording_deliver(event, sender, receiver):
+        delivered.append((event, bool(event.callbacks)))
+        deliver(event, sender, receiver)
+
+    env._schedule = recording_schedule
+    fabric._deliver = recording_deliver
+    finished = {}
+
+    def participant(member, delay):
+        if delay:
+            yield env.timeout(delay)
+        yield from fabric.reduce_scatter("step", member)
+        finished[member] = env.now
+
+    procs = [env.process(participant(m, 1.0 if m == 0 else 0.0)) for m in range(3)]
+    env.run(until=AllOf(env, procs))
+    # one chunk costs latency + (3 / 3) / bandwidth = 1.5 s per stage; rank 1
+    # waits on straggler 0 until 2.5, then sends its stage-1 chunk
+    assert finished == {0: 4.0, 1: 4.0, 2: 4.0}
+    waited = [event for event, has_waiter in delivered if has_waiter]
+    unwaited = [event for event, has_waiter in delivered if not has_waiter]
+    assert len(delivered) == 6 and waited and unwaited
+    # both lists hold their events alive, so ids cannot be reused
+    queued = {id(event) for event in scheduled}
+    assert all(id(event) in queued for event in waited)
+    assert not any(id(event) in queued for event in unwaited)
+    assert all(event.processed for event, _ in delivered)

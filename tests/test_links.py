@@ -141,6 +141,28 @@ def test_symmetric_streams_match_fair_share_closed_form(ranks):
     assert env.events_skipped > 0
 
 
+@pytest.mark.parametrize("ranks", [2, 3, 4, 8])
+def test_symmetric_streams_leave_one_dead_timer_per_round(ranks):
+    """Each round the first submit's timer is queued while its stream is
+    alone; the other G - 1 submits land while the instant's settle pass is
+    armed, so their timers only reserve an id and are queued once, at
+    their final projection.  Only the first timer is revised after being
+    queued: one skipped event per round, whatever G."""
+    rounds = 5
+    env = Environment()
+    link = SharedLink(env, bandwidth=40.0, latency=0.002)
+
+    def member(stream):
+        for _ in range(rounds):
+            yield stream.transfer(120.0)
+
+    procs = [
+        env.process(member(link.stream(("rank", g)))) for g in range(ranks)
+    ]
+    env.run(until=AllOf(env, procs))
+    assert env.events_skipped == rounds
+
+
 def test_two_streams_converge_and_finish_together():
     """A mid-flight open splits the rate: 100 B at 10 B/s alone from t=0,
     then 50 B more opening at t=5 -- both drain at t=15 exactly."""

@@ -1,10 +1,14 @@
 """Integration tests for the concurrent MinatoLoader."""
 
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.clock import ScaledClock, ThreadLocalClock
 from repro.core import MinatoConfig, MinatoLoader
+from repro.core.loader import _WorkerPool
 from repro.data import PageCache, StorageModel, StorageSpec
 from repro.errors import LoaderStateError
 
@@ -303,6 +307,34 @@ def test_adaptive_scheduler_disabled_on_threadlocal_clock():
         drain(loader)
         stats = loader.stats()
     assert stats.worker_history == []
+
+
+def test_join_during_spawn_never_sees_an_unstarted_worker(monkeypatch):
+    """A shutdown racing the scheduler's resize joins the pool while a new
+    worker thread exists but has not started; joining such a thread raises
+    ``RuntimeError``, so the pool must not list it yet."""
+    release = threading.Event()
+    loader = SimpleNamespace(
+        _worker_loop=lambda worker_id: release.wait(5.0),
+        _record_error=lambda exc: None,
+    )
+    pool = _WorkerPool(loader)
+    start = threading.Thread.start
+    raced = []
+
+    def racing_start(thread):
+        if thread.name.startswith("minato-worker-"):
+            pool.join_all(timeout=0.01)
+            raced.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", racing_start)
+    pool.spawn(2)
+    monkeypatch.undo()
+    assert raced == ["minato-worker-0", "minato-worker-1"]
+    release.set()
+    pool.join_all(timeout=5.0)
+    assert pool.active_count == 0
 
 
 # ---------------------------------------------------------------------------

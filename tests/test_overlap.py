@@ -145,6 +145,19 @@ def test_overlap_reduces_exposed_sync():
     assert serial.overlap_efficiency == 0.0
 
 
+def test_overlap_efficiency_clamped_against_rounding():
+    """Exposed and total sync sum the same per-step terms in different
+    orders, so exposed can read a few ulps above the total: the derived
+    fraction still stays inside [0, 1]."""
+    serial = overlap_run()
+    total = serial.sync_seconds_total
+    above = replace(serial, exposed_sync_seconds=total + 2e-13)
+    assert 1.0 - above.exposed_sync_seconds / total < 0.0
+    assert above.overlap_efficiency == 0.0
+    below = replace(serial, exposed_sync_seconds=-2e-13)
+    assert below.overlap_efficiency == 1.0
+
+
 def test_hierarchical_overlap_composes_with_topology():
     """The acceptance pair: hierarchical+overlap strictly below flat+serial
     on exposed sync for a >= 2-GPU-per-node cluster."""

@@ -377,3 +377,128 @@ def test_many_processes_scale():
         env.process(proc(i % 17))
     env.run()
     assert len(counter) == 1000
+
+
+# ---------------------------------------------------------------------------
+# run() loop, in-place success and reserved scheduling ids
+# ---------------------------------------------------------------------------
+
+
+def test_run_until_event_raises_empty_schedule_after_draining():
+    env = Environment()
+    never = env.event()
+    log = []
+
+    def proc():
+        yield env.timeout(2)
+        log.append(env.now)
+
+    env.process(proc())
+    with pytest.raises(EmptySchedule, match="drained before the target"):
+        env.run(until=never)
+    assert log == [2.0] and env.now == 2.0
+
+
+def test_run_until_event_surfaces_unhandled_failure():
+    env = Environment()
+    target = env.timeout(5)
+
+    def proc():
+        yield env.timeout(1)
+        raise ValueError("unhandled")
+
+    env.process(proc())
+    with pytest.raises(ValueError, match="unhandled"):
+        env.run(until=target)
+    assert env.now == 1.0
+
+
+def test_run_until_failed_event_raises_its_exception():
+    env = Environment()
+    target = env.event()
+
+    def failer():
+        yield env.timeout(1)
+        target.fail(KeyError("gone"))
+
+    env.process(failer())
+    with pytest.raises(KeyError):
+        env.run(until=target)
+
+
+@pytest.mark.parametrize("until", ["drain", "event"])
+def test_run_counts_skipped_dead_events(until):
+    env = Environment()
+    log = []
+
+    def sleeper():
+        try:
+            yield env.timeout(5)
+        except Interrupt:
+            log.append(env.now)
+
+    def waker(victim):
+        yield env.timeout(1)
+        victim.interrupt()
+
+    victim = env.process(sleeper())
+    done = env.process(waker(victim))
+    later = env.timeout(7)
+    env.run(until=later if until == "event" else None)
+    # the interrupted sleeper's timeout lost its last subscriber: skipped
+    # at its fire time, never processed
+    assert log == [1.0]
+    assert env.events_skipped == 1
+    assert done.processed and env.now == 7.0
+
+
+def test_succeed_in_place_without_subscriber_queues_nothing():
+    env = Environment()
+    event = env.event()
+    event.succeed_in_place("chunk")
+    assert event.triggered and event.processed and event.value == "chunk"
+    assert env.peek() == float("inf")
+    with pytest.raises(SimulationError):
+        event.succeed_in_place()
+    log = []
+
+    def late_reader():
+        # a reader that yields anyway resumes at once with the value
+        log.append((yield event))
+
+    env.process(late_reader())
+    env.run()
+    assert log == ["chunk"] and env.now == 0.0
+
+
+def test_succeed_in_place_with_subscriber_is_a_plain_succeed():
+    env = Environment()
+    event = env.event()
+    log = []
+
+    def waiter():
+        log.append((yield event))
+
+    def trigger():
+        yield env.timeout(3)
+        event.succeed_in_place(9)
+        assert not event.processed
+
+    env.process(waiter())
+    env.process(trigger())
+    env.run()
+    assert log == [9] and env.now == 3.0
+
+
+@pytest.mark.parametrize("queue", ["indexed", "heap"])
+def test_reserved_eid_keeps_the_pop_order_of_its_reservation(queue):
+    env = Environment(queue=queue)
+    order = []
+    early = env.event()
+    early._ok, early._value = True, None
+    early.callbacks.append(lambda _e: order.append("reserved first"))
+    eid = env._reserve_eid()
+    env.timeout(2).callbacks.append(lambda _e: order.append("queued second"))
+    env._schedule_reserved(early, 2.0, eid)
+    env.run()
+    assert order == ["reserved first", "queued second"]
