@@ -70,27 +70,43 @@ def utilization_series(
     bucket: float = 1.0,
     capacity: float = 1.0,
 ) -> List[Tuple[float, float]]:
-    """Per-bucket busy fraction: the data behind the paper's usage plots."""
+    """Per-bucket busy fraction: the data behind the paper's usage plots.
+
+    Each interval is clipped to ``[start, end]`` and split at bucket edges.
+    The clips are conditionals that pick exactly what ``max``/``min``
+    would, the edges are computed once, and an interval inside one bucket
+    builds no ``range``.  Sums are still taken interval by interval, so
+    every bucket's float total is bit-identical to a plain ``max``/``min``
+    loop's.
+    """
     if bucket <= 0:
         raise ValueError(f"bucket must be positive, got {bucket!r}")
     if end <= start:
         return []
     n = int((end - start) / bucket) + 1
     busy = [0.0] * n
+    edges = [start + i * bucket for i in range(n + 1)]
+    top = n - 1
     for interval in intervals:
-        lo = max(start, interval.start)
-        hi = min(end, interval.end)
+        lo = interval.start
+        lo = lo if lo > start else start  # max(start, lo)
+        hi = interval.end
+        hi = hi if hi < end else end  # min(end, hi)
         if hi <= lo:
             continue
         first = int((lo - start) / bucket)
-        last = min(n - 1, int((hi - start) / bucket))
-        for i in range(first, last + 1):
-            b_lo = max(lo, start + i * bucket)
-            b_hi = min(hi, start + (i + 1) * bucket)
+        last = int((hi - start) / bucket)
+        if last > top:
+            last = top
+        for i in range(first, last + 1) if last != first else (first,):
+            edge = edges[i]
+            b_lo = edge if edge > lo else lo  # max(lo, edge)
+            edge = edges[i + 1]
+            b_hi = edge if edge < hi else hi  # min(hi, edge)
             if b_hi > b_lo:
                 busy[i] += b_hi - b_lo
     return [
-        (start + i * bucket, min(1.0, b / (bucket * capacity))) for i, b in enumerate(busy)
+        (edges[i], min(1.0, b / (bucket * capacity))) for i, b in enumerate(busy)
     ]
 
 

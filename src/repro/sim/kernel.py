@@ -32,9 +32,9 @@ the exact binary heap.  The composite pop order is *identical* to a single
 benchmark suite uses as its measured baseline.  Two further kernel
 optimizations ride on the indexed mode: interrupted processes' stale wait
 targets are lazily cancelled (skipped at their fire time instead of being
-popped, walked and failure-checked), and the throwaway resume ``Event``
-that :meth:`Process._resume` allocates when yielding an already-processed
-event is recycled per process.
+walked and failure-checked), and the throwaway resume ``Event`` that
+:meth:`Process._resume` allocates when yielding an already-processed event
+is recycled per process.
 
 Three more cuts keep unobserved work out of the queue on both queue kinds,
 without moving any remaining event in the pop order:
@@ -47,8 +47,19 @@ without moving any remaining event in the pop order:
   the same instant -- the shared links' completion timers use it so that a
   timer revised before its instant ends is queued once, never left behind
   as a dead event;
-* ``run()`` loops on the pop directly, so each processed event costs one
-  dead-event sweep; :meth:`Environment.step` stays for direct callers.
+* one dispatch loop (``Environment._dispatch``) serves ``run()`` in all
+  three forms and ``step()``.  Lane events are all at ``now``, so it
+  compares a lane head with the heap head only when that is at ``now``
+  too, on the eid alone (urgent events are only scheduled at ``now``, so
+  the heap holds normal ones), building no key tuples.  It tests the dead
+  flag only on the event it has just selected, so a dead event is dropped
+  exactly at its fire time, as the next event in order, and never while
+  earlier events -- which may still re-subscribe to it -- are pending.
+
+Every queued event goes through ``Environment._schedule``, looked up at
+call time, so a wrapper on it sees them all.  The event classes use
+``__slots__``, and each process binds its ``_resume`` once for every
+subscribe, detach and recycled resume (dropped when its generator ends).
 """
 
 from __future__ import annotations
@@ -72,6 +83,11 @@ __all__ = [
 ]
 
 _PENDING = object()
+_INF = float("inf")
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+#: ``done`` value that makes the dispatch loop stop after one event
+_STOP = (True,)
 
 #: available event-queue implementations: "indexed" (current-instant FIFO
 #: lanes + exact-heap fallback, the default) or "heap" (the legacy single
@@ -100,6 +116,11 @@ class Event:
     environment processes the event.
     """
 
+    # slots: the kernel allocates one event per timeout, resumption and
+    # store operation, so a per-instance dict is the dominant memory and
+    # attribute-lookup cost; subclasses extend the tuple
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_dead", "_eid")
+
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks: Optional[list] = []
@@ -110,8 +131,9 @@ class Event:
         self._defused = False
         #: lazy-cancellation mark: a scheduled event whose last subscriber
         #: detached (an interrupted process's stale wait target).  Skipped
-        #: at its fire time *iff* it is still successful and unobserved --
-        #: re-subscribing before then revives it without clearing the mark.
+        #: when the dispatch loop selects it as the next event *iff* it is
+        #: still successful and unobserved -- re-subscribing before then
+        #: revives it without clearing the mark.
         self._dead = False
         #: scheduling id, assigned when the event enters a current-instant
         #: lane (orders lane heads against heap entries at the same time)
@@ -146,7 +168,8 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, NORMAL, self.env._now)
+        env = self.env
+        env._schedule(self, NORMAL, env._now)
         return self
 
     def succeed_at(self, when: float, value: Any = None) -> "Event":
@@ -199,24 +222,34 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` virtual seconds after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # the most frequent event: set the fields in place rather than
+        # through Event.__init__ and then overwriting two of them
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._defused = False
+        self._dead = False
+        self._eid = 0
+        self.delay = delay
         env._schedule(self, NORMAL, env._now + delay)
 
 
 class _Initialize(Event):
     """Immediate event that starts a freshly created process."""
 
+    __slots__ = ()
+
     def __init__(self, env: "Environment", process: "Process") -> None:
         super().__init__(env)
         self._ok = True
         self._value = None
-        self.callbacks.append(process._resume)
+        self.callbacks.append(process._resume_cb)
         env._schedule(self, URGENT, env._now)
 
 
@@ -227,6 +260,8 @@ class Process(Event):
     (value = the generator's return value) or raises (failure).
     """
 
+    __slots__ = ("_generator", "_target", "_resume_cache", "_resume_cb")
+
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"process expects a generator, got {generator!r}")
@@ -236,6 +271,12 @@ class Process(Event):
         #: recycled resume event for the already-processed fast path (one
         #: live resume per process at a time, so a single slot suffices)
         self._resume_cache: Optional[Event] = None
+        #: ``_resume`` bound once: every subscribe, detach and recycled
+        #: resume uses this one object instead of binding a fresh method.
+        #: It references the process, so it is dropped when the generator
+        #: ends: a finished process then leaves no reference cycle and is
+        #: freed at once, not at the next full garbage collection
+        self._resume_cb = self._resume
         _Initialize(env, self)
 
     @property
@@ -257,56 +298,67 @@ class Process(Event):
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
         interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
+        interrupt_event.callbacks.append(self._interrupted)
         self.env._schedule(interrupt_event, URGENT, self.env._now)
 
+    def _interrupted(self, event: Event) -> None:
+        # an interrupt issued while the process was alive can arrive after
+        # it finished in the same instant; there is nothing left to throw
+        # into, and resuming would queue the finished process a second time
+        if self._ok is None:
+            self._resume(event)
+
     def _resume(self, event: Event) -> None:
+        env = self.env
+        resume_cb = self._resume_cb
         # Drop the subscription on the event we were waiting for (if we are
         # being resumed by an interrupt instead of that event).
-        if self._target is not None and self._target is not event:
-            target = self._target
-            if target.callbacks is not None:
+        target = self._target
+        if target is not None and target is not event:
+            callbacks = target.callbacks
+            if callbacks is not None:
                 try:
-                    target.callbacks.remove(self._resume)
+                    callbacks.remove(resume_cb)
                 except ValueError:
                     pass
                 else:
-                    if not target.callbacks and self.env._indexed:
-                        # last subscriber gone: let the queue skip the
-                        # stale event at its fire time instead of walking
-                        # its (empty) callbacks and failure-checking it
+                    if not callbacks and env._indexed:
+                        # last subscriber gone: let the dispatch loop skip
+                        # the stale event when it comes up, instead of
+                        # walking its (empty) callbacks and failure-checking
+                        # it
                         target._dead = True
         self._target = None
-        self.env._active = self
+        env._active = self
 
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
             else:
                 event._defused = True
-                exc = event._value
-                next_event = self._generator.throw(exc)
+                next_event = self._generator.throw(event._value)
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            self.env._schedule(self, URGENT, self.env._now)
-            self.env._active = None
+            self._resume_cb = None
+            env._schedule(self, URGENT, env._now)
             return
         except BaseException as exc:
             self._ok = False
             self._value = exc
-            self.env._schedule(self, URGENT, self.env._now)
-            self.env._active = None
+            self._resume_cb = None
+            env._schedule(self, URGENT, env._now)
             return
         finally:
-            self.env._active = None
+            env._active = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(
                 f"process yielded a non-event: {next_event!r} "
                 f"(from {self._generator!r})"
             )
-        if next_event.callbacks is None:
+        callbacks = next_event.callbacks
+        if callbacks is None:
             # Already processed: resume immediately at the current instant.
             # Successful passthroughs recycle a per-process resume event
             # (safe: only one resume per process is ever in flight, and a
@@ -317,33 +369,34 @@ class Process(Event):
                 next_event._ok
                 and resume is not None
                 and resume.callbacks is None
-                and self.env._indexed
+                and env._indexed
             ):
                 resume._ok = True
                 resume._value = next_event._value
                 resume._defused = False
                 resume._dead = False
-                resume.callbacks = [self._resume]
-                self.env._schedule(resume, URGENT, self.env._now)
+                resume.callbacks = [resume_cb]
             else:
-                resume = Event(self.env)
+                resume = Event(env)
                 resume._ok = next_event._ok
                 resume._value = next_event._value
                 if not next_event._ok:
                     next_event._defused = True
                     resume._defused = True
-                resume.callbacks.append(self._resume)
-                self.env._schedule(resume, URGENT, self.env._now)
+                resume.callbacks.append(resume_cb)
                 if next_event._ok:
                     self._resume_cache = resume
+            env._schedule(resume, URGENT, env._now)
             self._target = resume
         else:
-            next_event.callbacks.append(self._resume)
+            callbacks.append(resume_cb)
             self._target = next_event
 
 
 class _Condition(Event):
     """Base for :class:`AnyOf` / :class:`AllOf`."""
+
+    __slots__ = ("_events", "_done")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -384,12 +437,16 @@ class _Condition(Event):
 class AnyOf(_Condition):
     """Triggers as soon as one of the events triggers."""
 
+    __slots__ = ()
+
     def _satisfied(self) -> bool:
         return self._done >= 1
 
 
 class AllOf(_Condition):
     """Triggers once all events have triggered."""
+
+    __slots__ = ()
 
     def _satisfied(self) -> bool:
         return self._done >= len(self._events)
@@ -408,9 +465,9 @@ class Environment:
       exactly the single-heap ``(time, priority, eid)`` order: lane
       entries carry their scheduling id, every entry in a lane is at the
       current time (lanes always drain before the clock advances), and
-      each step takes the minimum of the three head keys.  Indexed mode
-      also enables lazy cancellation of dead events and resume-event
-      recycling (see :class:`Event` / :class:`Process`).
+      each step takes the least of the heads (see :meth:`_dispatch`).
+      Indexed mode also enables lazy cancellation of dead events and
+      resume-event recycling (see :class:`Event` / :class:`Process`).
     * ``"heap"`` -- the legacy single binary heap with none of the above;
       kept as the measured baseline for the kernel benchmarks and the
       equivalence sweep.
@@ -475,18 +532,24 @@ class Environment:
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, priority: int, when: float) -> None:
-        """Queue ``event`` to fire at absolute time ``when`` (>= ``now``)."""
-        self._eid += 1
-        if self._indexed and when == self._now:
+        """Queue ``event`` to fire at absolute time ``when`` (>= ``now``).
+
+        ``URGENT`` events fire at ``now`` only; the dispatch loop's lane
+        order relies on it.
+        """
+        eid = self._eid = self._eid + 1
+        if when == self._now and self._indexed:
             # current-instant lane: O(1), no tuple, exact order preserved
             # via the carried eid (lanes only ever hold events at _now)
-            event._eid = self._eid
+            event._eid = eid
             if priority == URGENT:
                 self._urgent.append(event)
             else:
                 self._normal.append(event)
         else:
-            heapq.heappush(self._queue, (when, priority, self._eid, event))
+            if priority == URGENT and when != self._now:
+                raise SimulationError("an urgent event fires at the current instant")
+            _heappush(self._queue, (when, priority, eid, event))
 
     def _reserve_eid(self) -> int:
         """Take the next scheduling id without queueing anything.
@@ -510,108 +573,90 @@ class Environment:
         self._schedule(event, NORMAL, when)
         self._eid = latest
 
-    def _discard_dead(self) -> None:
-        """Drop lazily-cancelled events from every queue head.
+    def _dispatch(self, done: Any = (), horizon: float = _INF) -> bool:
+        """The one event loop behind :meth:`run` and :meth:`step`.
 
-        An event is discarded only at its own fire time (it can only reach
-        a head then), only while successful and unobserved; discarding
-        marks it processed so a late ``yield`` still takes the
-        already-processed fast path with the value it would have had.
+        Processes events in ``(time, priority, eid)`` order until ``done``
+        is truthy after an event (True), the next event lies past
+        ``horizon`` (False, nothing popped), or the schedule empties
+        (False).  :meth:`step` passes an always-truthy ``done`` to stop
+        after one delivered event.
+
+        Lane events are all at ``now``, so a lane head is only compared
+        with the heap head when that is at ``now`` too.  The heap then
+        holds normal-priority events only (:meth:`_schedule` queues urgent
+        events at ``now`` alone, into the urgent lane), so an urgent head
+        always goes first and a normal head is compared on eid alone.
+
+        A dead event is dropped when it is selected -- that is, at its own
+        fire time, as the next event in order -- and only while still
+        successful and unobserved; dropping marks it processed, so a late
+        ``yield`` still takes the already-processed fast path with the
+        value it would have had.
         """
-        for lane in (self._urgent, self._normal):
-            while lane:
-                head = lane[0]
-                if head._dead and head._ok and not head.callbacks:
-                    lane.popleft()
-                    head.callbacks = None
-                    self.events_skipped += 1
-                else:
-                    break
-        heap = self._queue
-        while heap:
-            head = heap[0][3]
-            if head._dead and head._ok and not head.callbacks:
-                heapq.heappop(heap)
-                head.callbacks = None
-                self.events_skipped += 1
-            else:
-                break
-
-    def _pop_next(self) -> Optional[Event]:
-        """Pop the next live event (advancing ``now``), or ``None``."""
-        self._discard_dead()
         heap = self._queue
         urgent = self._urgent
-        best_key = None
-        source = 0
-        if heap:
-            when, prio, eid, _event = heap[0]
-            best_key = (when, prio, eid)
-            source = 0
-        if urgent:
-            key = (self._now, URGENT, urgent[0]._eid)
-            if best_key is None or key < best_key:
-                best_key = key
-                source = 1
-        else:
-            normal = self._normal
-            if normal:
-                key = (self._now, NORMAL, normal[0]._eid)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    source = 2
-        if best_key is None:
-            return None
-        if source == 0:
-            when, _prio, _eid, event = heapq.heappop(heap)
-            self._now = when
-            return event
-        if source == 1:
-            return urgent.popleft()
-        return self._normal.popleft()
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        self._discard_dead()
-        if self._urgent or self._normal:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the next event.  Raises :class:`EmptySchedule` if none."""
-        event = self._pop_next()
-        if event is None:
-            raise EmptySchedule("no more events scheduled")
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if event._ok is False and not event._defused:
-            # Unhandled failure: surface it to the caller of run()/step().
-            raise event._value
-
-    def _pending(self) -> bool:
-        return bool(self._queue or self._urgent or self._normal)
-
-    def _drain(self, done: Any = ()) -> bool:
-        """Process events until ``done`` is truthy (True) or the schedule
-        empties (False).
-
-        :meth:`step` repeated with its body inlined, so each event costs
-        one dead-event sweep (the one inside :meth:`_pop_next`).
-        """
-        pop_next = self._pop_next
-        while not done:
-            event = pop_next()
-            if event is None:
+        normal = self._normal
+        heappop = _heappop
+        while True:
+            if urgent:
+                # urgent events are only ever scheduled at ``now``, so the
+                # heap holds none at ``now`` and an urgent head goes first
+                event = urgent.popleft()
+            elif normal:
+                event = normal[0]
+                if heap and heap[0][0] == self._now and heap[0][2] < event._eid:
+                    event = heappop(heap)[3]
+                else:
+                    normal.popleft()
+            elif heap:
+                top = heap[0]
+                when = top[0]
+                if when > horizon:
+                    return False
+                heappop(heap)
+                event = top[3]
+                self._now = when
+            else:
                 return False
+            callbacks = event.callbacks
+            if event._dead and not callbacks and event._ok:
+                event.callbacks = None
+                self.events_skipped += 1
+                continue
             self.events_processed += 1
-            callbacks, event.callbacks = event.callbacks, None
+            event.callbacks = None
             for callback in callbacks:
                 callback(event)
             if event._ok is False and not event._defused:
+                # Unhandled failure: surface it to the caller of run()/step().
                 raise event._value
-        return True
+            if done:
+                return True
+
+    def peek(self) -> float:
+        """Time of the next live event, or ``inf`` if none.
+
+        Dead events are passed over but left queued: they are only ever
+        dropped at their fire time, by the dispatch loop.
+        """
+        def live(event: Event) -> bool:
+            return not (event._dead and not event.callbacks and event._ok)
+
+        if any(map(live, self._urgent)) or any(map(live, self._normal)):
+            return self._now
+        return min(
+            (when for when, _prio, _eid, event in self._queue if live(event)),
+            default=_INF,
+        )
+
+    def step(self) -> None:
+        """Process the next event.  Raises :class:`EmptySchedule` if none."""
+        if not self._dispatch(_STOP):
+            raise EmptySchedule("no more events scheduled")
+
+    def _pending(self) -> bool:
+        return bool(self._queue or self._urgent or self._normal)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -621,7 +666,7 @@ class Environment:
         it is processed, returning its value).
         """
         if until is None:
-            self._drain()
+            self._dispatch()
             return None
 
         if isinstance(until, Event):
@@ -629,8 +674,8 @@ class Environment:
             if sentinel.callbacks is None:
                 return sentinel._value
             done = []
-            sentinel.callbacks.append(lambda event: done.append(event))
-            if not self._drain(done):
+            sentinel.callbacks.append(done.append)
+            if not self._dispatch(done):
                 raise EmptySchedule(
                     "schedule drained before the target event triggered"
                 )
@@ -644,7 +689,6 @@ class Environment:
             raise ValueError(
                 f"cannot run backwards: until={horizon} < now={self._now}"
             )
-        while self.peek() <= horizon:
-            self.step()
+        self._dispatch(horizon=horizon)
         self._now = horizon
         return None

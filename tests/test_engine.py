@@ -1,13 +1,17 @@
 """Tests for the training engine: devices, metrics, step models, trainer."""
 
+import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clock import ScaledClock, ThreadLocalClock
 from repro.core import MinatoConfig, MinatoLoader
 from repro.engine import (
     MODELS,
+    BusyInterval,
     IntervalRecorder,
     SimulatedGPU,
     StepTimeModel,
@@ -124,6 +128,66 @@ def test_utilization_series_buckets():
 def test_utilization_series_validates_bucket():
     with pytest.raises(ValueError):
         utilization_series([], 0, 1, bucket=0)
+
+
+def loop_utilization_series(intervals, start, end, bucket=1.0, capacity=1.0):
+    """The interval-by-interval loop ``utilization_series`` must reproduce
+    bit for bit."""
+    n = int((end - start) / bucket) + 1
+    busy = [0.0] * n
+    for interval in intervals:
+        lo = max(start, interval.start)
+        hi = min(end, interval.end)
+        if hi <= lo:
+            continue
+        first = int((lo - start) / bucket)
+        last = min(n - 1, int((hi - start) / bucket))
+        for i in range(first, last + 1):
+            b_lo = max(lo, start + i * bucket)
+            b_hi = min(hi, start + (i + 1) * bucket)
+            if b_hi > b_lo:
+                busy[i] += b_hi - b_lo
+    return [
+        (start + i * bucket, min(1.0, b / (bucket * capacity))) for i, b in enumerate(busy)
+    ]
+
+
+def _edge_floats(draw, start, bucket):
+    """A float on, just beside, or between bucket edges (or outside the
+    window), so clipping and edge splits meet every tie."""
+    k = draw(st.integers(-2, 14))
+    edge = start + k * bucket
+    nudge = draw(st.sampled_from(["on", "below", "above", "inside"]))
+    if nudge == "below":
+        return math.nextafter(edge, -math.inf)
+    if nudge == "above":
+        return math.nextafter(edge, math.inf)
+    if nudge == "inside":
+        return edge + draw(st.floats(0.0, 1.0)) * bucket
+    return edge
+
+
+@st.composite
+def series_cases(draw):
+    # integer start/bucket keep the loop's int edges (and int bucket times)
+    start = draw(st.sampled_from([0.0, 0.7, 3.0, 0]))
+    bucket = draw(st.sampled_from([1.0, 0.1, 0.25, 0.3, 2.0, 1]))
+    end = start + draw(st.sampled_from([0.05, 1.0, 2.5, 9.0])) * bucket
+    intervals = []
+    for _ in range(draw(st.integers(0, 25))):
+        a, b = sorted((_edge_floats(draw, start, bucket), _edge_floats(draw, start, bucket)))
+        intervals.append(BusyInterval(a, b, "busy"))
+    capacity = draw(st.sampled_from([1.0, 2, 4.0]))
+    return intervals, start, end, bucket, capacity
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=series_cases())
+def test_utilization_series_is_bit_identical_to_the_interval_loop(case):
+    intervals, start, end, bucket, capacity = case
+    fast = utilization_series(intervals, start, end, bucket=bucket, capacity=capacity)
+    loop = loop_utilization_series(intervals, start, end, bucket=bucket, capacity=capacity)
+    assert repr(fast) == repr(loop)
 
 
 def test_throughput_meter_series_and_average():

@@ -1,9 +1,12 @@
 """Tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.errors import EmptySchedule, SimulationError
 from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim.kernel import Process
 
 
 def test_timeout_advances_clock():
@@ -502,3 +505,82 @@ def test_reserved_eid_keeps_the_pop_order_of_its_reservation(queue):
     env._schedule_reserved(early, 2.0, eid)
     env.run()
     assert order == ["reserved first", "queued second"]
+
+
+@pytest.mark.parametrize("queue", ["indexed", "heap"])
+def test_dead_event_is_dropped_only_at_its_fire_time(queue):
+    """An interrupted process's stale timeout, re-yielded later, must fire
+    at its own time: it may not be dropped as dead while current-instant
+    events are still pending ahead of it."""
+    env = Environment(queue=queue)
+    gate = env.event()
+    log = []
+
+    def sleeper():
+        late = env.timeout(10)
+        try:
+            yield late
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        yield gate
+        yield late
+        log.append(("woke", env.now))
+
+    def interrupter(victim):
+        yield env.timeout(1)
+        victim.interrupt()
+        yield env.timeout(0)
+        gate.succeed()
+
+    victim = env.process(sleeper())
+    env.process(interrupter(victim))
+    env.run()
+    assert log == [("interrupted", 1.0), ("woke", 10.0)]
+    assert env.now == 10.0
+    # the revived timeout is delivered, not skipped
+    assert (env.events_processed, env.events_skipped) == (9, 0)
+
+
+def test_interrupt_arriving_after_the_process_finished_is_dropped():
+    """Two interrupts issued in one instant: the first ends the process,
+    the second finds nothing to throw into and is dropped."""
+    env = Environment()
+    log = []
+
+    def victim():
+        try:
+            yield env.timeout(5)
+        except Interrupt as interrupt:
+            log.append((env.now, interrupt.cause))
+
+    def interrupter(target):
+        yield env.timeout(1)
+        target.interrupt("first")
+        target.interrupt("second")
+
+    target = env.process(victim())
+    env.process(interrupter(target))
+    env.run()
+    assert log == [(1.0, "first")]
+    assert target.processed and target.ok
+
+
+def test_finished_process_is_freed_without_the_cycle_collector():
+    """A process's stored resume callback references the process; it is
+    dropped when the generator ends, so finished processes are freed by
+    reference counting and cannot pile up between full collections."""
+    gc.disable()
+    try:
+        env = Environment()
+
+        def quick():
+            yield env.timeout(1)
+
+        for _ in range(3):
+            env.process(quick())
+        env.run()
+        assert not [
+            obj for obj in gc.get_objects() if isinstance(obj, Process) and obj.env is env
+        ]
+    finally:
+        gc.enable()
